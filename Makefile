@@ -8,7 +8,7 @@ GO ?= go
 # Fixed fault schedule for reproducible chaos runs (see internal/resilience/fault).
 CHAOS_SEED ?= 2026
 
-.PHONY: build test vet race verify chaos cluster-chaos partition-chaos disk-chaos crash load bench bench-obs bench-stream bench-cluster bench-geocode profile
+.PHONY: build test vet race verify fuzz chaos cluster-chaos partition-chaos disk-chaos crash load bench bench-obs bench-stream bench-cluster bench-geocode profile
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,14 @@ vet:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/resilience/... ./internal/twitter/... ./internal/geocode/... ./internal/geofast/... ./internal/pipeline/... ./internal/storage/... ./internal/ratelimit/... ./internal/stream/... ./internal/overload/... ./internal/daemon/... ./internal/logx ./internal/leaktest ./internal/cluster/... ./cmd/stir/...
 
-verify: build vet test race crash cluster-chaos partition-chaos disk-chaos
+verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz
+
+# Coverage-guided fuzzing of the decoders that read bytes off the network,
+# each for a fixed 10s from its committed seed corpus
+# (testdata/fuzz/<target>). A crasher lands in that corpus as a regression
+# seed, and plain `go test` replays it from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzForwardFrame$$' -fuzztime 10s ./internal/cluster/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race

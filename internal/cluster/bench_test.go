@@ -18,9 +18,10 @@ import (
 
 // Cluster baselines (recorded in BENCH_cluster.json): routed ingest
 // throughput and scatter-gather latency at 1, 2 and 4 workers. The routed
-// path pays one JSON round-trip per ForwardBatch, so per-tweet cost is
-// dominated by encoding + loopback HTTP — the point of the baseline is the
-// scaling shape across worker counts, not the absolute number.
+// path pays one loopback HTTP round-trip per ForwardBatch (a binary forward
+// frame out, a small JSON ack back), so per-tweet cost is dominated by the
+// hop and the engine — the point of the baseline is the scaling shape
+// across worker counts, not the absolute number.
 
 type benchResolver struct{ places []core.Place }
 

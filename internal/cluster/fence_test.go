@@ -29,9 +29,6 @@ func fenceDo(t testing.TB, method, url string, epoch string, body []byte) int {
 	if epoch != "" {
 		req.Header.Set(EpochHeader, epoch)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +47,21 @@ func TestWorkerEpochFence(t *testing.T) {
 	defer w.stop()
 	base := w.srv.URL
 
-	empty := mustJSON(t, ingestRequest{})
+	empty := appendFrame(nil, 0, nil)
 	if got := fenceDo(t, http.MethodPost, base+"/cluster/v1/ingest", "5", empty); got != http.StatusOK {
 		t.Fatalf("epoch 5 on a fresh worker: status %d", got)
+	}
+	// The route takes forward frames only: a JSON batch (the pre-frame
+	// format) passes the fence, then bounces as a permanent 400 without
+	// touching the engine or the forward cursor.
+	legacy := mustJSON(t, map[string]any{"seq": 7, "tweets": []*twitter.Tweet{
+		{ID: 1, UserID: 2, Geo: &twitter.GeoTag{Lat: 37.5, Lon: 127}},
+	}})
+	if got := fenceDo(t, http.MethodPost, base+"/cluster/v1/ingest", "5", legacy); got != http.StatusBadRequest {
+		t.Fatalf("JSON ingest body: status %d, want 400", got)
+	}
+	if n, cur := w.eng.Ingested(), w.eng.Cursor(); n != 0 || cur != "" {
+		t.Fatalf("rejected JSON body reached the engine: ingested %d, cursor %q", n, cur)
 	}
 	// Stale epoch on a state-bearing route: fenced.
 	if got := fenceDo(t, http.MethodGet, base+"/cluster/v1/groupings", "4", nil); got != http.StatusPreconditionFailed {

@@ -32,11 +32,13 @@ func PartitionOf(id twitter.UserID, partitions int) int {
 // top scorers own the partition. Membership changes move only the partitions
 // whose top scorer changed — the consistent-hashing property — with no
 // virtual-node bookkeeping. A Ring is immutable; membership changes build a
-// new one.
+// new one. Because it is immutable, NewRing ranks every member for every
+// partition once, and Owners serves prefixes of that table.
 type Ring struct {
 	partitions int
-	names      []string // sorted, deduplicated
-	hashes     []uint64 // per-name seed, parallel to names
+	names      []string   // sorted, deduplicated
+	hashes     []uint64   // per-name seed, parallel to names
+	ranked     [][]string // per partition, every member by descending score
 }
 
 // NewRing builds a ring over the given worker names. Partitions defaults to
@@ -58,6 +60,12 @@ func NewRing(partitions int, names []string) *Ring {
 	r := &Ring{partitions: partitions, names: sorted, hashes: make([]uint64, len(sorted))}
 	for i, n := range sorted {
 		r.hashes[i] = splitmix64(fnv64(n))
+	}
+	if len(sorted) > 0 {
+		r.ranked = make([][]string, partitions)
+		for p := range r.ranked {
+			r.ranked[p] = r.rankOwners(p, len(sorted))
+		}
 	}
 	return r
 }
@@ -94,14 +102,19 @@ func (r *Ring) score(i, part int) uint64 {
 
 // Owners returns the top-n distinct workers for a partition in descending
 // score order — the partition's replicaset, primary first. Fewer than n
-// members returns them all.
+// members returns them all. The slice is shared: callers must not modify
+// it. Owners allocates nothing.
 func (r *Ring) Owners(part, n int) []string {
 	if len(r.names) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.names) {
-		n = len(r.names)
-	}
+	n = min(n, len(r.names))
+	return r.ranked[part][:n:n]
+}
+
+// rankOwners computes a partition's top-n owners (1 <= n <= members) by
+// scoring every member.
+func (r *Ring) rankOwners(part, n int) []string {
 	type cand struct {
 		name  string
 		score uint64

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"stir/internal/twitter"
@@ -126,5 +127,35 @@ func TestSeqCursorRoundTrip(t *testing.T) {
 	}
 	if ParseSeq("") != 0 || ParseSeq("garbage") != 0 || ParseSeq("-5") != 0 {
 		t.Fatal("malformed cursors must parse as 0 (replay everything)")
+	}
+}
+
+// TestRingOwnersMemoMatchesHRW checks the precomputed owner table against
+// the direct rendezvous ranking for every partition and replica count, on
+// rings of 1–5 workers.
+func TestRingOwnersMemoMatchesHRW(t *testing.T) {
+	names := []string{"w1", "w2", "w3", "w4", "w5"}
+	for size := 1; size <= len(names); size++ {
+		r := NewRing(64, names[:size])
+		for n := 1; n <= size+1; n++ {
+			for p := 0; p < r.Partitions(); p++ {
+				got, want := r.Owners(p, n), r.rankOwners(p, min(n, size))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d workers, partition %d, n=%d: memo %v, HRW %v", size, p, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRingOwnersAllocs(t *testing.T) {
+	r := NewRing(64, []string{"a", "b", "c", "d"})
+	if n := testing.AllocsPerRun(100, func() {
+		for p := 0; p < 64; p++ {
+			_ = r.Owners(p, 2)
+			_ = r.Owner(p)
+		}
+	}); n != 0 {
+		t.Fatalf("Owners: %v allocs, want 0", n)
 	}
 }

@@ -47,7 +47,8 @@ type Options struct {
 	// are evicted oldest-first and counted — an evicted entry can no longer
 	// be replayed, so exact convergence is at risk (default 65536).
 	JournalDepth int
-	// ForwardBatch caps tweets per forward POST (default 256).
+	// ForwardBatch caps tweets per forward POST (default 256, at most
+	// 1<<20: one forward frame's cap).
 	ForwardBatch int
 	// ForwardAttempts bounds retries of one idempotent forward (default 3).
 	ForwardAttempts int
@@ -67,8 +68,8 @@ type Options struct {
 	Metrics *obs.Registry
 	// Tracer opens root spans for handoffs and replays. Nil disables.
 	Tracer *trace.Tracer
-	// Log receives membership and handoff events (nil builds a discard-free
-	// stderr logger under "stir-router").
+	// Log receives membership and handoff events. Nil keeps the router
+	// silent; daemons pass their stderr logger.
 	Log *logx.Logger
 
 	// Heartbeat is the failure detector's probe interval for RunHealth
@@ -107,6 +108,7 @@ func (o Options) withDefaults() Options {
 	if o.ForwardBatch <= 0 {
 		o.ForwardBatch = DefaultForwardBatch
 	}
+	o.ForwardBatch = min(o.ForwardBatch, maxFrameTweets)
 	if o.ForwardAttempts <= 0 {
 		o.ForwardAttempts = 3
 	}
@@ -124,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HTTP == nil {
 		o.HTTP = &http.Client{}
-	}
-	if o.Log == nil {
-		o.Log = logx.New(nil, "stir-router")
 	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = DefaultHeartbeat
@@ -423,9 +422,8 @@ func (r *Router) registerWorkerGauges(name string) {
 	}, "worker", name)
 }
 
-// doJSON performs one traced, deadline-stamped request and decodes the JSON
-// reply into out (when non-nil). Non-2xx maps onto resilience.StatusError so
-// the retry policy classifies 5xx/sheds transient and honours Retry-After.
+// doJSON performs one traced, deadline-stamped request with an optional
+// JSON body and decodes the JSON reply into out (when non-nil).
 func (r *Router) doJSON(ctx context.Context, method, url string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -438,6 +436,14 @@ func (r *Router) doJSON(ctx context.Context, method, url string, body []byte, ou
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	return r.send(req, out)
+}
+
+// send stamps the hop headers (deadline, traceparent, epoch) on req, sends
+// it and decodes the JSON reply into out (when non-nil). Non-2xx maps onto
+// resilience.StatusError so the retry policy classifies 5xx/sheds transient
+// and honours Retry-After.
+func (r *Router) send(req *http.Request, out any) error {
 	overload.SetDeadlineHeader(req)
 	trace.Inject(req)
 	req.Header.Set(EpochHeader, strconv.FormatInt(r.epoch.Load(), 10))
@@ -461,7 +467,7 @@ func (r *Router) doJSON(ctx context.Context, method, url string, body []byte, ou
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: decode %s: %w", url, err)
+		return fmt.Errorf("cluster: decode %s: %w", req.URL, err)
 	}
 	return nil
 }
@@ -605,16 +611,18 @@ func (r *Router) forwardAll(ctx context.Context, w *workerRef, tweets []*twitter
 // forwardChunk delivers one seq-stamped chunk with retries and trims the
 // journal to the worker's durable cursor from the ack.
 func (r *Router) forwardChunk(ctx context.Context, w *workerRef, seq int64, tweets []*twitter.Tweet) error {
-	body, err := json.Marshal(ingestRequest{Seq: seq, Tweets: tweets})
-	if err != nil {
-		return err
-	}
+	body := appendFrame(make([]byte, 0, frameLen(len(tweets))), seq, tweets)
 	url := w.baseURL() + "/cluster/v1/ingest"
 	var ack ingestResponse
-	err = w.policy.Do(ctx, func(ctx context.Context) error {
+	err := w.policy.Do(ctx, func(ctx context.Context) error {
 		cctx, cancel := context.WithTimeout(ctx, r.opts.ScatterTimeout)
 		defer cancel()
-		return r.doJSON(cctx, http.MethodPost, url, body, &ack)
+		req, err := http.NewRequestWithContext(cctx, http.MethodPost, url, bytes.NewReader(body))
+		if err != nil {
+			return resilience.MarkPermanent(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		return r.send(req, &ack)
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -25,7 +27,7 @@ const EpochHeader = "X-Stir-Epoch"
 // Worker is the cluster-facing surface of one stream worker: the existing
 // engine plus the handoff and forward-ingest endpoints the router drives.
 //
-//	POST /cluster/v1/ingest      apply a forwarded batch (seq-stamped)
+//	POST /cluster/v1/ingest      apply a forward frame (seq-stamped, frame.go)
 //	POST /cluster/v1/checkpoint  force a durable checkpoint, return its cursor
 //	GET  /cluster/v1/hello       identity + durable cursor (join handshake)
 //	GET  /cluster/v1/groupings   full per-user groupings (scatter-gather merge)
@@ -119,13 +121,6 @@ func ParseSeq(s string) int64 {
 // FormatSeq encodes a forward sequence as an engine cursor.
 func FormatSeq(n int64) string { return strconv.FormatInt(n, 10) }
 
-// ingestRequest is one forwarded batch: tweets in delivery order plus the
-// router's sequence number of the last tweet.
-type ingestRequest struct {
-	Seq    int64            `json:"seq"`
-	Tweets []*twitter.Tweet `json:"tweets"`
-}
-
 // ingestResponse acknowledges a batch. DurableSeq is the highest sequence
 // covered by a committed checkpoint — the router trims its journal to it.
 type ingestResponse struct {
@@ -194,17 +189,19 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		jsonReply(rw, http.StatusBadRequest, httpError{Error: "bad batch: " + err.Error()})
+	seq, tweets, err := readFrame(rw, r)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		jsonReply(rw, status, httpError{Error: "bad batch: " + err.Error()})
 		return
 	}
 	accepted, refused := 0, 0
-	for _, t := range req.Tweets {
-		if t == nil {
-			continue
-		}
-		if w.eng.Ingest(t) {
+	for i := range tweets {
+		if w.eng.Ingest(&tweets[i]) {
 			accepted++
 		} else {
 			refused++
@@ -217,17 +214,35 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	if req.Seq > w.lastSeq {
-		w.lastSeq = req.Seq
-		w.eng.SetCursor(FormatSeq(req.Seq))
+	if seq > w.lastSeq {
+		w.lastSeq = seq
+		w.eng.SetCursor(FormatSeq(seq))
 	}
-	seq := w.lastSeq
+	seq = w.lastSeq
 	w.mu.Unlock()
 	jsonReply(rw, http.StatusOK, ingestResponse{
 		Accepted:   accepted,
 		Seq:        seq,
 		DurableSeq: ParseSeq(w.eng.DurableCursor()),
 	})
+}
+
+// bodyPool recycles the worker's ingest read buffers. decodeFrame copies
+// out of a buffer, so it is free again as soon as the frame is decoded.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readFrame reads and decodes one forward frame. A body over the frame cap
+// fails with *http.MaxBytesError; anything that is not a frame fails with
+// errBadFrame before a tweet is built.
+func readFrame(rw http.ResponseWriter, r *http.Request) (int64, []twitter.Tweet, error) {
+	limit := int64(frameLen(maxFrameTweets))
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(rw, r.Body, limit)); err != nil {
+		return 0, nil, err
+	}
+	return decodeFrame(buf.Bytes())
 }
 
 func (w *Worker) handleCheckpoint(rw http.ResponseWriter, r *http.Request) {
